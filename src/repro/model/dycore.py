@@ -43,13 +43,6 @@ _YEAR_STEPS = 1460
 _WINDOW_STEPS = 800
 
 
-def _rhs(x: np.ndarray, forcing: float) -> np.ndarray:
-    """Lorenz-96 tendency, vectorized over leading axes."""
-    return (np.roll(x, -1, axis=-1) - np.roll(x, 2, axis=-1)) * np.roll(
-        x, 1, axis=-1
-    ) - x + forcing
-
-
 @dataclass(frozen=True)
 class DycoreRun:
     """Outcome of integrating the ensemble.
@@ -98,15 +91,28 @@ class Lorenz96:
         self.n_modes = n_modes
         self.forcing = float(forcing)
         self.base_seed = base_seed
+        # Cyclic neighbours X_{j+1}, X_{j-2}, X_{j-1} as index takes: the
+        # same values np.roll would give at a fraction of its per-call
+        # cost, which dominates a 40-vector step.
+        j = np.arange(n_modes)
+        self._ip1 = (j + 1) % n_modes
+        self._im2 = (j - 2) % n_modes
+        self._im1 = (j - 1) % n_modes
 
     # -- integration ------------------------------------------------------
 
+    def _rhs(self, x: np.ndarray) -> np.ndarray:
+        """Lorenz-96 tendency, vectorized over leading axes."""
+        return (x.take(self._ip1, axis=-1) - x.take(self._im2, axis=-1)) * (
+            x.take(self._im1, axis=-1)
+        ) - x + self.forcing
+
     def step(self, x: np.ndarray, dt: float = _DT) -> np.ndarray:
         """One RK4 step for state array ``x`` (vectorized over members)."""
-        k1 = _rhs(x, self.forcing)
-        k2 = _rhs(x + 0.5 * dt * k1, self.forcing)
-        k3 = _rhs(x + 0.5 * dt * k2, self.forcing)
-        k4 = _rhs(x + dt * k3, self.forcing)
+        k1 = self._rhs(x)
+        k2 = self._rhs(x + 0.5 * dt * k1)
+        k3 = self._rhs(x + 0.5 * dt * k2)
+        k4 = self._rhs(x + dt * k3)
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def integrate(self, x: np.ndarray, n_steps: int,
@@ -119,10 +125,14 @@ class Lorenz96:
         return x
 
     def base_state(self) -> np.ndarray:
-        """Deterministic on-attractor base initial condition."""
-        rng = np.random.default_rng(self.base_seed)
-        x = self.forcing + 0.01 * rng.standard_normal(self.n_modes)
-        return self.integrate(x, _SPINUP_STEPS)
+        """Deterministic on-attractor base initial condition.
+
+        The spin-up is shared process-wide: the ensemble start and the
+        control run both begin from it.
+        """
+        return _base_state_cached(
+            self.n_modes, self.forcing, self.base_seed
+        ).copy()
 
     def perturbed_states(self, n_members: int,
                          scale: float = PERTURBATION_SCALE) -> np.ndarray:
@@ -156,10 +166,10 @@ class Lorenz96:
             x = self.step(x, dt)
             s1 += x
             s2 += x * x
-            s_cov += x * np.roll(x, -1, axis=-1)
+            s_cov += x * x.take(self._ip1, axis=-1)
         mean = s1 / n
         var = s2 / n - mean**2
-        cov = s_cov / n - mean * np.roll(mean, -1, axis=-1)
+        cov = s_cov / n - mean * mean.take(self._ip1, axis=-1)
         return np.concatenate([mean, var, cov], axis=-1), x
 
     def _reference_moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,6 +197,17 @@ class Lorenz96:
         ref_mean, ref_std = self._reference_moments()
         coefficients = (stats - ref_mean) / ref_std
         return DycoreRun(coefficients=coefficients, final_states=final)
+
+
+@lru_cache(maxsize=8)
+def _base_state_cached(n_modes: int, forcing: float,
+                       base_seed: int) -> np.ndarray:
+    model = Lorenz96(n_modes=n_modes, forcing=forcing, base_seed=base_seed)
+    rng = np.random.default_rng(base_seed)
+    x = forcing + 0.01 * rng.standard_normal(n_modes)
+    x = model.integrate(x, _SPINUP_STEPS)
+    x.flags.writeable = False
+    return x
 
 
 @lru_cache(maxsize=8)

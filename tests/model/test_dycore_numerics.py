@@ -38,6 +38,28 @@ class TestRK4Convergence:
         np.testing.assert_allclose(out, x, atol=1e-12)
 
 
+class TestTendency:
+    @pytest.mark.parametrize("shape", [(8,), (3, 8), (2, 3, 40)])
+    def test_matches_roll_formula_bit_for_bit(self, shape):
+        # The textbook form with np.roll is the reference: the index
+        # takes must give the same values through the same operations.
+        x = np.random.default_rng(4).standard_normal(shape) * 5.0
+        model = Lorenz96(n_modes=shape[-1], forcing=8.0)
+        reference = (np.roll(x, -1, axis=-1) - np.roll(x, 2, axis=-1)) \
+            * np.roll(x, 1, axis=-1) - x + 8.0
+        assert model._rhs(x).tobytes() == reference.tobytes()
+
+
+class TestBaseStateCache:
+    def test_handed_out_as_private_copies(self):
+        a = Lorenz96(n_modes=10, base_seed=9).base_state()
+        original = a.copy()
+        a += 1.0  # a caller's edit must not leak into the cache
+        b = Lorenz96(n_modes=10, base_seed=9).base_state()
+        assert np.array_equal(b, original)
+        assert b.flags.writeable
+
+
 class TestReferenceMomentsCache:
     def test_shared_across_instances(self):
         a = Lorenz96(n_modes=10, base_seed=9)

@@ -29,6 +29,7 @@ def test_stream_throughput_bench_smokes(tmp_path):
     # Keep the tiny run's record and history out of the real gate data.
     env["REPRO_BENCH_DIR"] = str(tmp_path)
     env["REPRO_BENCH_HISTORY"] = str(tmp_path / "history")
+    env["REPRO_RESULTS_DIR"] = str(tmp_path / "results")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(REPO / "benchmarks" / "bench_stream_throughput.py")],
@@ -41,6 +42,10 @@ def test_stream_throughput_bench_smokes(tmp_path):
     )
     record = tmp_path / "BENCH_stream_throughput.json"
     assert record.exists(), "tiny run wrote no bench record"
+    for name in ("stream_throughput.txt", "stream_throughput.csv",
+                 "stream_rss.txt", "stream_transfer.txt"):
+        assert (tmp_path / "results" / name).exists(), \
+            f"tiny run rendered no {name}"
 
 
 def test_codec_zoo_bench_smokes(tmp_path):
@@ -71,6 +76,7 @@ def test_obs_overhead_bench_smokes(tmp_path):
     env["PYTHONPATH"] = str(REPO / "src")
     env["REPRO_BENCH_DIR"] = str(tmp_path)
     env["REPRO_BENCH_HISTORY"] = str(tmp_path / "history")
+    env["REPRO_RESULTS_DIR"] = str(tmp_path / "results")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(REPO / "benchmarks" / "bench_obs_overhead.py")],
@@ -83,3 +89,5 @@ def test_obs_overhead_bench_smokes(tmp_path):
     )
     record = tmp_path / "BENCH_obs_overhead.json"
     assert record.exists(), "tiny run wrote no bench record"
+    assert (tmp_path / "results" / "obs_overhead.txt").exists(), \
+        "tiny run rendered no overhead table"
