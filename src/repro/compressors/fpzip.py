@@ -32,24 +32,12 @@ from repro.compressors.prediction import (
     ordered_int_to_float,
     truncate_precision,
 )
-from repro.encoding.deflate import deflate, inflate
-from repro.encoding.rice import rice_decode, rice_encode
+from repro.encoding.deflate import inflate_uint
+from repro.encoding.rice import (MODE_DEFLATE, MODE_RICE, rice_decode,
+                                 rice_or_deflate)
 from repro.encoding.zigzag import zigzag_decode, zigzag_encode
 
 __all__ = ["Fpzip"]
-
-_MODE_RICE = 0
-_MODE_DEFLATE = 1
-
-
-def _narrow(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Narrow uint64 values to the smallest unsigned dtype that fits."""
-    peak = int(values.max()) if values.size else 0
-    for width in (1, 2, 4):
-        if peak < 1 << (8 * width):
-            return width, values.astype(f"<u{width}")
-    return 8, values
-
 
 class Fpzip(Compressor):
     """Predictive codec with fpzip's 8-bit-granular precision knob.
@@ -115,18 +103,11 @@ class Fpzip(Compressor):
             signed = delta_encode(shifted)
         residuals = zigzag_encode(signed)
 
-        rice_payload = rice_encode(residuals)
         # DEFLATE often beats Rice on real residual streams (repeated
         # values, short-range correlation); compare on the narrowest
         # integer type that holds the residuals, which is both faster to
         # compress and compresses better than padding to 8 bytes.
-        width, narrowed = _narrow(residuals)
-        deflate_payload = deflate(narrowed.tobytes(), 4, itemsize=width)
-        if len(rice_payload) <= len(deflate_payload):
-            mode, payload = _MODE_RICE, rice_payload
-            width = 0
-        else:
-            mode, payload = _MODE_DEFLATE, deflate_payload
+        mode, width, payload = rice_or_deflate(residuals, 4)
         return struct.pack("<BBBI", mode, precision, width,
                            ncols) + payload
 
@@ -138,14 +119,10 @@ class Fpzip(Compressor):
         mode, precision, width, ncols = struct.unpack_from("<BBBI",
                                                            payload, 0)
         body = payload[7:]
-        if mode == _MODE_RICE:
+        if mode == MODE_RICE:
             residuals = rice_decode(body)
-        elif mode == _MODE_DEFLATE:
-            if width not in (1, 2, 4, 8):
-                raise ValueError(f"bad fpzip residual width {width}")
-            residuals = np.frombuffer(
-                inflate(body, itemsize=width), dtype=f"<u{width}"
-            ).astype(np.uint64)
+        elif mode == MODE_DEFLATE:
+            residuals = inflate_uint(body, width)
         else:
             raise ValueError(f"unknown fpzip mode {mode}")
         if residuals.size != count:

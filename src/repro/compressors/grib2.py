@@ -36,9 +36,10 @@ from repro.compressors.quantize import (
     quantize,
 )
 from repro.compressors.wavelet import forward_53, inverse_53
-from repro.encoding.deflate import deflate, inflate
+from repro.encoding.deflate import inflate_uint
 from repro.encoding.container import SectionReader, SectionWriter
-from repro.encoding.rice import rice_decode, rice_encode
+from repro.encoding.rice import (MODE_DEFLATE, MODE_RICE, rice_decode,
+                                 rice_or_deflate)
 from repro.encoding.zigzag import zigzag_decode, zigzag_encode
 
 __all__ = ["Grib2Jpeg2000"]
@@ -47,17 +48,6 @@ __all__ = ["Grib2Jpeg2000"]
 #: fill value is 1e35).
 _MISSING_THRESHOLD = SPECIAL_THRESHOLD
 
-_MODE_RICE = 0
-_MODE_DEFLATE = 1
-
-
-def _narrow_codes(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Narrow uint64 codes to the smallest unsigned dtype that fits."""
-    peak = int(values.max()) if values.size else 0
-    for width in (1, 2, 4):
-        if peak < 1 << (8 * width):
-            return width, values.astype(f"<u{width}")
-    return 8, values
 
 
 class Grib2Jpeg2000(Compressor):
@@ -114,15 +104,9 @@ class Grib2Jpeg2000(Compressor):
         coeffs, lengths = forward_53(field.codes.astype(np.int64))
         codes = zigzag_encode(coeffs)
 
-        rice_payload = rice_encode(codes)
         # Compare against DEFLATE on the narrowest dtype that fits; real
         # wavelet subbands often carry structure DEFLATE exploits.
-        width, narrowed = _narrow_codes(codes)
-        deflate_payload = deflate(narrowed.tobytes(), 4, itemsize=width)
-        if len(rice_payload) <= len(deflate_payload):
-            mode, payload, width = _MODE_RICE, rice_payload, 0
-        else:
-            mode, payload = _MODE_DEFLATE, deflate_payload
+        mode, width, payload = rice_or_deflate(codes, 4)
 
         writer.add(
             "meta",
@@ -158,15 +142,10 @@ class Grib2Jpeg2000(Compressor):
         out = np.full(count, fill, dtype=np.float64)
         n_valid = count - n_missing
         if n_valid:
-            if mode == _MODE_RICE:
+            if mode == MODE_RICE:
                 codes = rice_decode(reader.get("codes"))
-            elif mode == _MODE_DEFLATE:
-                if width not in (1, 2, 4, 8):
-                    raise ValueError(f"bad GRIB2 code width {width}")
-                codes = np.frombuffer(
-                    inflate(reader.get("codes"), itemsize=width),
-                    dtype=f"<u{width}",
-                ).astype(np.uint64)
+            elif mode == MODE_DEFLATE:
+                codes = inflate_uint(reader.get("codes"), width)
             else:
                 raise ValueError(f"unknown GRIB2 mode {mode}")
             lengths = np.frombuffer(reader.get("lengths"),

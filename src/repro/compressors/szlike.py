@@ -50,15 +50,14 @@ from repro.compressors.prediction import (
 )
 from repro.config import FILL_VALUE
 from repro.encoding.container import SectionReader, SectionWriter
-from repro.encoding.deflate import deflate, inflate
-from repro.encoding.rice import rice_decode, rice_encode
+from repro.encoding.deflate import deflate, inflate, inflate_uint
+from repro.encoding.rice import (MODE_DEFLATE, MODE_RICE, rice_decode,
+                                 rice_or_deflate)
 from repro.encoding.zigzag import zigzag_decode, zigzag_encode
 
 __all__ = ["SzLike"]
 
-_MODE_RICE = 0
-_MODE_DEFLATE = 1
-_MODE_SPLIT = 2
+_MODE_SPLIT = 2  # after rice.MODE_RICE and rice.MODE_DEFLATE
 
 _DOMAIN_LINEAR = 0
 _DOMAIN_LOG = 1
@@ -69,15 +68,6 @@ _CODE_CAP = float(1 << 40)
 
 # mode, residual width, lattice domain, ncols, lattice step
 _META = struct.Struct("<BBBId")
-
-
-def _narrow(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Narrow uint64 values to the smallest unsigned dtype that fits."""
-    peak = int(values.max()) if values.size else 0
-    for width in (1, 2, 4):
-        if peak < 1 << (8 * width):
-            return width, values.astype(f"<u{width}")
-    return 8, values
 
 
 def _dequantize(codes: np.ndarray, step: float, dtype: np.dtype) -> np.ndarray:
@@ -257,19 +247,9 @@ class SzLike(Compressor):
             signed = delta_encode(codes)
         residuals = zigzag_encode(signed)
 
-        rice_payload = rice_encode(residuals)
-        width, narrowed = _narrow(residuals)
-        deflate_payload = deflate(narrowed.tobytes(), self.level,
-                                  itemsize=width)
-        if len(rice_payload) <= len(deflate_payload):
-            mode, payload = _MODE_RICE, rice_payload
-            width = 0
-        else:
-            mode, payload = _MODE_DEFLATE, deflate_payload
-        for k in candidate_splits(residuals):
-            split_payload = split_encode(residuals, k, self.level)
-            if len(split_payload) < len(payload):
-                mode, payload, width = _MODE_SPLIT, split_payload, 0
+        splits = ((_MODE_SPLIT, split_encode(residuals, k, self.level))
+                  for k in candidate_splits(residuals))
+        mode, width, payload = rice_or_deflate(residuals, self.level, splits)
 
         writer = SectionWriter()
         writer.add("meta", _META.pack(mode, width, domain, ncols, step))
@@ -292,14 +272,10 @@ class SzLike(Compressor):
         reader = SectionReader(payload)
         mode, width, domain, ncols, step = _META.unpack(reader.get("meta"))
         body = reader.get("q")
-        if mode == _MODE_RICE:
+        if mode == MODE_RICE:
             residuals = rice_decode(body)
-        elif mode == _MODE_DEFLATE:
-            if width not in (1, 2, 4, 8):
-                raise ValueError(f"bad SZ residual width {width}")
-            residuals = np.frombuffer(
-                inflate(body, itemsize=width), dtype=f"<u{width}"
-            ).astype(np.uint64)
+        elif mode == MODE_DEFLATE:
+            residuals = inflate_uint(body, width)
         elif mode == _MODE_SPLIT:
             residuals = split_decode(body, count)
         else:

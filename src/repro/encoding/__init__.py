@@ -2,12 +2,15 @@
 
 Everything here is implemented with vectorized NumPy (no per-sample Python
 loops) so the pure-Python codecs remain usable at paper scale (~1.5M points
-per 3-D variable):
+per 3-D variable).  The bit-packing kernels walk long streams block by
+block, so their temporaries stay bounded, and emit the same bytes as a
+whole-array pass:
 
 - :mod:`repro.encoding.bitio` — fixed-width and unary bit packing.
 - :mod:`repro.encoding.rice` — a split-stream Golomb-Rice entropy codec.
 - :mod:`repro.encoding.zigzag` — signed/unsigned integer mapping.
-- :mod:`repro.encoding.deflate` — HDF5-style shuffle filter + DEFLATE.
+- :mod:`repro.encoding.deflate` — HDF5-style shuffle filter + DEFLATE,
+  also for integer streams on their narrowest unsigned dtype.
 - :mod:`repro.encoding.container` — tiny length-prefixed section container
   used by codecs to serialize multi-stream payloads.
 """
@@ -18,13 +21,21 @@ from repro.encoding.bitio import (
     pack_unary,
     unpack_unary,
 )
-from repro.encoding.rice import rice_encode, rice_decode, choose_rice_k
+from repro.encoding.rice import (
+    rice_encode,
+    rice_decode,
+    rice_size,
+    rice_or_deflate,
+    choose_rice_k,
+)
 from repro.encoding.zigzag import zigzag_encode, zigzag_decode
 from repro.encoding.deflate import (
     deflate,
     inflate,
     shuffle_bytes,
     unshuffle_bytes,
+    deflate_uint,
+    inflate_uint,
 )
 from repro.encoding.container import SectionWriter, SectionReader
 
@@ -35,6 +46,8 @@ __all__ = [
     "unpack_unary",
     "rice_encode",
     "rice_decode",
+    "rice_size",
+    "rice_or_deflate",
     "choose_rice_k",
     "zigzag_encode",
     "zigzag_decode",
@@ -42,6 +55,8 @@ __all__ = [
     "inflate",
     "shuffle_bytes",
     "unshuffle_bytes",
+    "deflate_uint",
+    "inflate_uint",
     "SectionWriter",
     "SectionReader",
 ]

@@ -22,7 +22,8 @@ import struct
 
 import numpy as np
 
-from repro.encoding.deflate import deflate, inflate
+from repro.encoding.bitio import pack_fixed, unpack_fixed
+from repro.encoding.deflate import deflate_uint, inflate_uint
 
 __all__ = ["split_encode", "split_decode", "candidate_splits"]
 
@@ -31,36 +32,6 @@ __all__ = ["split_encode", "split_decode", "candidate_splits"]
 MAX_SPLIT = 48
 
 _HEADER = struct.Struct("<BB")  # split point k, high-part byte width
-
-
-def _narrow(values: np.ndarray) -> tuple[int, np.ndarray]:
-    """Narrow uint64 values to the smallest unsigned dtype that fits."""
-    peak = int(values.max()) if values.size else 0
-    for width in (1, 2, 4):
-        if peak < 1 << (8 * width):
-            return width, values.astype(f"<u{width}")
-    return 8, values
-
-
-def _pack_low(residuals: np.ndarray, k: int) -> bytes:
-    """Bit-pack the low ``k`` bits of each residual, MSB-first."""
-    if k == 0:
-        return b""
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
-    bits = (residuals[:, None] >> shifts[None, :]) & np.uint64(1)
-    return np.packbits(bits.astype(np.uint8).reshape(-1)).tobytes()
-
-
-def _unpack_low(buf: bytes, count: int, k: int) -> np.ndarray:
-    """Inverse of :func:`_pack_low` — ``count`` uint64 low parts."""
-    if k == 0:
-        return np.zeros(count, dtype=np.uint64)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8),
-                         count=count * k)
-    weights = np.uint64(1) << np.arange(k - 1, -1, -1, dtype=np.uint64)
-    return (bits.reshape(count, k).astype(np.uint64) * weights).sum(
-        axis=1, dtype=np.uint64
-    )
 
 
 def split_encode(residuals: np.ndarray, k: int, level: int = 6) -> bytes:
@@ -72,9 +43,8 @@ def split_encode(residuals: np.ndarray, k: int, level: int = 6) -> bytes:
     if not 0 <= k <= MAX_SPLIT:
         raise ValueError(f"split point must be 0..{MAX_SPLIT}, got {k}")
     residuals = np.ascontiguousarray(residuals, dtype=np.uint64)
-    low = _pack_low(residuals, k)
-    width, narrowed = _narrow(residuals >> np.uint64(k))
-    high = deflate(narrowed.tobytes(), level, itemsize=width)
+    low = pack_fixed(residuals & np.uint64((1 << k) - 1), k)
+    width, high = deflate_uint(residuals >> np.uint64(k), level)
     return _HEADER.pack(k, width) + low + high
 
 
@@ -85,21 +55,19 @@ def split_decode(payload: bytes, count: int) -> np.ndarray:
     k, width = _HEADER.unpack_from(payload)
     if k > MAX_SPLIT:
         raise ValueError(f"bad split point {k}")
-    if width not in (1, 2, 4, 8):
-        raise ValueError(f"bad split high width {width}")
     n_low = (count * k + 7) // 8
-    body = payload[_HEADER.size:]
+    body = memoryview(payload)[_HEADER.size:]
     if len(body) < n_low:
         raise ValueError("split payload truncated")
-    low = _unpack_low(body[:n_low], count, k)
-    high = np.frombuffer(
-        inflate(body[n_low:], itemsize=width), dtype=f"<u{width}"
-    ).astype(np.uint64)
+    low = unpack_fixed(body[:n_low], k, count)
+    high = inflate_uint(body[n_low:], width)
     if high.size != count:
         raise ValueError(
             f"decoded {high.size} high parts, expected {count}"
         )
-    return (high << np.uint64(k)) | low
+    high <<= np.uint64(k)
+    high |= low
+    return high
 
 
 def candidate_splits(residuals: np.ndarray) -> list[int]:

@@ -14,7 +14,8 @@ import zlib
 
 import numpy as np
 
-__all__ = ["shuffle_bytes", "unshuffle_bytes", "deflate", "inflate"]
+__all__ = ["shuffle_bytes", "unshuffle_bytes", "deflate", "inflate",
+           "deflate_uint", "inflate_uint"]
 
 
 def shuffle_bytes(data: bytes, itemsize: int) -> bytes:
@@ -56,3 +57,24 @@ def deflate(data: bytes, level: int = 4, *, itemsize: int = 1) -> bytes:
 def inflate(data: bytes, *, itemsize: int = 1) -> bytes:
     """Inverse of :func:`deflate`."""
     return unshuffle_bytes(zlib.decompress(data), itemsize)
+
+
+def deflate_uint(values: np.ndarray, level: int = 4) -> tuple[int, bytes]:
+    """Shuffle + DEFLATE integers on the narrowest unsigned dtype.
+
+    Returns ``(itemsize, payload)``.  Integer streams DEFLATE both faster
+    and smaller on the narrowest dtype that holds them than padded to
+    eight bytes.
+    """
+    peak = int(values.max()) if values.size else 0
+    width = next((w for w in (1, 2, 4) if peak < 1 << (8 * w)), 8)
+    narrowed = values.astype(f"<u{width}", copy=False)
+    return width, deflate(narrowed.tobytes(), level, itemsize=width)
+
+
+def inflate_uint(data: bytes, itemsize: int) -> np.ndarray:
+    """Inverse of :func:`deflate_uint`; returns a uint64 array."""
+    if itemsize not in (1, 2, 4, 8):
+        raise ValueError(f"bad unsigned itemsize {itemsize}")
+    return np.frombuffer(inflate(data, itemsize=itemsize),
+                         dtype=f"<u{itemsize}").astype(np.uint64)

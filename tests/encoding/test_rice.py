@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.encoding.rice import ESCAPE_Q, choose_rice_k, rice_decode, rice_encode
+from repro.encoding.deflate import deflate_uint
+from repro.encoding.rice import (
+    ESCAPE_Q,
+    MODE_DEFLATE,
+    MODE_RICE,
+    choose_rice_k,
+    rice_decode,
+    rice_encode,
+    rice_or_deflate,
+)
 
 
 class TestRoundtrip:
@@ -94,3 +103,22 @@ class TestValidation:
 
     def test_escape_q_is_sane(self):
         assert 1 < ESCAPE_Q < 64
+
+
+class TestRiceOrDeflate:
+    def test_geometric_residuals_pick_rice(self, rng):
+        values = rng.geometric(0.05, 10_000).astype(np.uint64)
+        assert rice_or_deflate(values) == (MODE_RICE, 0, rice_encode(values))
+
+    def test_repeats_pick_deflate(self):
+        values = np.tile(np.arange(50, dtype=np.uint64), 200)
+        width, deflated = deflate_uint(values, 4)
+        assert rice_or_deflate(values) == (MODE_DEFLATE, width, deflated)
+
+    def test_ties_keep_the_earlier_candidate(self, rng):
+        values = rng.geometric(0.05, 1_000).astype(np.uint64)
+        rice = rice_encode(values)
+        others = [(7, b"x" * len(rice)), (8, b"x" * (len(rice) - 1)),
+                  (9, b"y" * (len(rice) - 1))]
+        assert rice_or_deflate(values, 4, others[:1])[0] == MODE_RICE
+        assert rice_or_deflate(values, 4, others) == (8, 0, others[1][1])

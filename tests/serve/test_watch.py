@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.parallel.executor import Executor
+from repro.serve.jobs import JobHandle
 from repro.serve import (
     JobManager,
     ReproServer,
@@ -74,6 +75,27 @@ def test_watch_ordering_under_concurrent_submits(server):
         assert states[0] == "pending" and states[-1] == "done"
         ranks = [order[s] for s in states]
         assert ranks == sorted(ranks)
+
+
+def test_watch_sends_the_terminal_event_of_a_job_ending_mid_batch(
+        server, monkeypatch):
+    """A job that ends after a batch of events was read still reports it."""
+    gate = _GATES["w-mid-batch"] = threading.Event()
+    real_wait_events = JobHandle.wait_events
+
+    def read_then_let_the_job_end(self, seen, timeout=None):
+        events = real_wait_events(self, seen, timeout)
+        gate.set()
+        self.wait(timeout=10)
+        return events
+
+    monkeypatch.setattr(JobHandle, "wait_events", read_then_let_the_job_end)
+    with _connect(server) as client:
+        job = client.submit("w-gated", {"gate": "w-mid-batch"})
+        frames = list(client.watch(job["id"], timeout=10))
+    states = [f["event"]["state"] for f in frames if "event" in f]
+    assert states[0] == "pending" and states[-1] == "done"
+    assert frames[-1]["final"] is True
 
 
 def test_watch_reconnect_mid_job_sees_remaining_lifecycle(server):
