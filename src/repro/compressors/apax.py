@@ -206,17 +206,15 @@ class Apax(Compressor):
         recon_prev = np.where(delta_mode, head_dequant, q[:, 0] * head_step)
         head_stream = rice_encode(zigzag_encode(head_q[delta_mode])) \
             if n_delta else b""
-        if _BLOCK > 1:
-            is_delta = delta_mode
-            for col in range(1, _BLOCK):
-                target = np.where(
-                    is_delta, blocks[:, col] - recon_prev, blocks[:, col]
-                )
-                qc = np.clip(np.rint(target / body_step), -limit, limit)
-                qc = np.where(zero_w, 0, qc).astype(np.int64)
-                q[:, col] = qc
-                dequant = qc * body_step
-                recon_prev = np.where(is_delta, recon_prev + dequant, dequant)
+        for col in range(1, _BLOCK):
+            target = np.where(
+                delta_mode, blocks[:, col] - recon_prev, blocks[:, col]
+            )
+            qc = np.clip(np.rint(target / body_step), -limit, limit)
+            qc = np.where(zero_w, 0, qc).astype(np.int64)
+            q[:, col] = qc
+            dequant = qc * body_step
+            recon_prev = np.where(delta_mode, recon_prev + dequant, dequant)
 
         # Offset-binary storage: q + 2**(m-1) packs in m bits.  Blocks may
         # carry different widths (rate mode: base/base+1; quality mode:
@@ -294,8 +292,7 @@ class Apax(Compressor):
         m1 = (widths - 1).astype(np.float64, copy=False)
         coded = np.empty((n_blocks, _BLOCK), dtype=np.float64)
         coded[:, 0] = q[:, 0] * np.exp2(e_head - m1)
-        if _BLOCK > 1:
-            coded[:, 1:] = q[:, 1:] * np.exp2(e_body - m1)[:, None]
+        coded[:, 1:] = q[:, 1:] * np.exp2(e_body - m1)[:, None]
         coded = np.where((widths == 0)[:, None], 0.0, coded)
 
         # DPCM heads come from the fine-step Rice side stream.
@@ -308,7 +305,7 @@ class Apax(Compressor):
             coded[delta_mode, 0] = head_q * body_step[delta_mode]
 
         out = coded
-        if _BLOCK > 1 and n_delta:
+        if n_delta:
             integrated = np.cumsum(coded, axis=1)
             out = np.where(delta_mode[:, None], integrated, coded)
         return out.ravel()[:n].astype(dtype, copy=False)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import abc
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from repro import obs
 from repro.check.hooks import boundary
 from repro.config import FILL_VALUE
 from repro.encoding.container import SectionReader, SectionWriter
+from repro.encoding.deflate import deflate_mask, inflate_mask
 
 __all__ = [
     "CodecProperties",
@@ -192,25 +192,38 @@ class Compressor(abc.ABC):
         introduced at points that were valid and finite on the way in.
         """
         with obs.span("compressors.decompress", codec=self.variant) as sp:
-            reader = SectionReader(blob)
-            head = reader.get("head")
-            version, dtype_code, ndim = self._HEADER.unpack_from(head, 0)
-            if version != 1:
-                raise ValueError(f"unsupported blob version {version}")
-            shape = struct.unpack_from(f"<{ndim}Q", head, self._HEADER.size)
-            tag = head[self._HEADER.size + 8 * ndim :].decode("utf-8")
-            if tag != self._codec_tag():
-                raise ValueError(
-                    f"blob was written by {tag!r}, "
-                    f"this codec is {self._codec_tag()!r}"
-                )
-            dtype = _SUPPORTED_DTYPES[dtype_code.decode()]
+            payload, dtype, shape = self._open(blob)
             count = int(np.prod(shape))
-            values = self._decode_values(reader.get("data"), count, dtype)
+            values = self._decode_values(payload, count, dtype)
+            if values.size != count:
+                raise ValueError(
+                    f"decoded {values.size} values, expected {count}"
+                )
             out = values.astype(dtype, copy=False).reshape(shape)
             sp.note(bytes=out.nbytes)
         _DECOMPRESS_H.observe(sp.duration, codec=self.variant)
         return out
+
+    def _open(self, blob: bytes) -> tuple[bytes, np.dtype, tuple[int, ...]]:
+        """Check a blob's header; return its payload, dtype and shape.
+
+        Raises :class:`ValueError` for an unknown blob version or a blob
+        written by another codec or variant.
+        """
+        reader = SectionReader(blob)
+        head = reader.get("head")
+        version, dtype_code, ndim = self._HEADER.unpack_from(head, 0)
+        if version != 1:
+            raise ValueError(f"unsupported blob version {version}")
+        shape = struct.unpack_from(f"<{ndim}Q", head, self._HEADER.size)
+        tag = head[self._HEADER.size + 8 * ndim :].decode("utf-8")
+        if tag != self._codec_tag():
+            raise ValueError(
+                f"blob was written by {tag!r}, "
+                f"this codec is {self._codec_tag()!r}"
+            )
+        dtype = _SUPPORTED_DTYPES[dtype_code.decode()]
+        return reader.get("data"), dtype, shape
 
     def roundtrip(self, data: np.ndarray) -> CompressionOutcome:
         """Compress and reconstruct, returning sizes alongside the result.
@@ -318,7 +331,7 @@ class SpecialValueAdapter(Compressor):
     def _encode_values(self, values: np.ndarray) -> bytes:
         mask = values == values.dtype.type(self.fill_value)
         writer = SectionWriter()
-        writer.add("mask", zlib.compress(np.packbits(mask).tobytes(), 4))
+        writer.add("mask", deflate_mask(mask))
         valid = values[~mask]
         if valid.size:
             writer.add("body", self.inner._encode_values(valid))
@@ -328,8 +341,7 @@ class SpecialValueAdapter(Compressor):
         self, payload: bytes, count: int, dtype: np.dtype
     ) -> np.ndarray:
         reader = SectionReader(payload)
-        packed = np.frombuffer(zlib.decompress(reader.get("mask")), dtype=np.uint8)
-        mask = np.unpackbits(packed, count=count).astype(bool)
+        mask = inflate_mask(reader.get("mask"), count)
         out = np.full(count, self.fill_value, dtype=dtype)
         n_valid = count - int(mask.sum())
         if n_valid:

@@ -25,13 +25,13 @@ import struct
 import numpy as np
 
 from repro.compressors.base import CodecProperties, Compressor
+from repro.compressors.prediction import _UINT
 from repro.config import FILL_VALUE
 from repro.encoding.deflate import deflate, inflate
 
 __all__ = ["BitRound", "estimate_keepbits", "round_mantissa"]
 
 _MANTISSA = {np.dtype(np.float32): 23, np.dtype(np.float64): 52}
-_UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 
 #: Cap on the information an adjacent-pair bit plane must carry before it
 #: counts as signal; below ``_MI_FLOOR / n_pairs`` bits it is treated as
@@ -187,12 +187,7 @@ class BitRound(Compressor):
         if len(payload) < 1:
             raise ValueError("truncated BitRound payload")
         raw = inflate(payload[1:], itemsize=np.dtype(dtype).itemsize)
-        values = np.frombuffer(raw, dtype=dtype)
-        if values.size != count:
-            raise ValueError(
-                f"decoded {values.size} values, expected {count}"
-            )
-        return values
+        return np.frombuffer(raw, dtype=dtype)
 
     def used_keepbits(self, blob_payload: bytes) -> int:
         """The keepbits a payload was actually encoded with (relevant for

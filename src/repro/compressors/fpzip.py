@@ -24,18 +24,13 @@ import numpy as np
 
 from repro.compressors.base import CodecProperties, Compressor
 from repro.compressors.prediction import (
-    delta_decode,
-    delta_encode,
     float_to_ordered_int,
-    lorenzo2d_decode,
-    lorenzo2d_encode,
     ordered_int_to_float,
+    predict,
     truncate_precision,
+    unpredict,
 )
-from repro.encoding.deflate import inflate_uint
-from repro.encoding.rice import (MODE_DEFLATE, MODE_RICE, rice_decode,
-                                 rice_or_deflate)
-from repro.encoding.zigzag import zigzag_decode, zigzag_encode
+from repro.encoding.rice import entropy_decode, rice_or_deflate
 
 __all__ = ["Fpzip"]
 
@@ -92,16 +87,8 @@ class Fpzip(Compressor):
         shifted = codes >> drop
         # The Lorenzo predictor needs a 2-D layout (rows x last axis); it
         # degrades to the delta predictor when none is available.
-        use_lorenzo = (
-            self.predictor == "lorenzo" and ncols > 1
-            and values.size % ncols == 0 and values.size > ncols
-        )
-        if use_lorenzo:
-            signed = lorenzo2d_encode(shifted.reshape(-1, ncols)).ravel()
-        else:
-            ncols = 0
-            signed = delta_encode(shifted)
-        residuals = zigzag_encode(signed)
+        residuals, ncols = predict(shifted, ncols,
+                                   self.predictor == "lorenzo")
 
         # DEFLATE often beats Rice on real residual streams (repeated
         # values, short-range correlation); compare on the narrowest
@@ -118,25 +105,10 @@ class Fpzip(Compressor):
             raise ValueError("truncated fpzip payload")
         mode, precision, width, ncols = struct.unpack_from("<BBBI",
                                                            payload, 0)
-        body = payload[7:]
-        if mode == MODE_RICE:
-            residuals = rice_decode(body)
-        elif mode == MODE_DEFLATE:
-            residuals = inflate_uint(body, width)
-        else:
-            raise ValueError(f"unknown fpzip mode {mode}")
-        if residuals.size != count:
-            raise ValueError(
-                f"decoded {residuals.size} residuals, expected {count}"
-            )
-        width = np.dtype(dtype).itemsize * 8
-        drop = width - precision
-        signed = zigzag_decode(residuals)
-        if ncols:
-            shifted = lorenzo2d_decode(signed.reshape(-1, ncols)).ravel()
-        else:
-            shifted = delta_decode(signed)
-        return ordered_int_to_float(shifted << drop, dtype)
+        residuals = entropy_decode(mode, width, payload[7:], count)
+        drop = np.dtype(dtype).itemsize * 8 - precision
+        return ordered_int_to_float(unpredict(residuals, ncols) << drop,
+                                    dtype)
 
     @classmethod
     def properties(cls) -> CodecProperties:

@@ -22,7 +22,6 @@ magnitude, Section 5.4), or a callable for ensemble-guided tuning.
 from __future__ import annotations
 
 import struct
-import zlib
 from typing import Callable
 
 import numpy as np
@@ -36,18 +35,12 @@ from repro.compressors.quantize import (
     quantize,
 )
 from repro.compressors.wavelet import forward_53, inverse_53
-from repro.encoding.deflate import inflate_uint
+from repro.encoding.deflate import deflate_mask, inflate_mask
 from repro.encoding.container import SectionReader, SectionWriter
-from repro.encoding.rice import (MODE_DEFLATE, MODE_RICE, rice_decode,
-                                 rice_or_deflate)
+from repro.encoding.rice import entropy_decode, rice_or_deflate
 from repro.encoding.zigzag import zigzag_decode, zigzag_encode
 
 __all__ = ["Grib2Jpeg2000"]
-
-#: Magnitudes at or above this are treated as GRIB2 missing values (CESM's
-#: fill value is 1e35).
-_MISSING_THRESHOLD = SPECIAL_THRESHOLD
-
 
 
 class Grib2Jpeg2000(Compressor):
@@ -83,12 +76,18 @@ class Grib2Jpeg2000(Compressor):
         return int(self.decimal_scale)
 
     def _encode_values(self, values: np.ndarray) -> bytes:
-        missing = np.abs(values) >= values.dtype.type(_MISSING_THRESHOLD)
+        # A NaN would poison the whole field's quantizer reference, and
+        # the bitmap restores one fill exemplar per blob, not +-inf.
+        if not np.isfinite(values).all():
+            raise ValueError("GRIB2 cannot encode NaN or infinite values")
+        # Magnitudes at or above SPECIAL_THRESHOLD are GRIB2 missing values
+        # (CESM's fill value is 1e35).
+        missing = np.abs(values) >= values.dtype.type(SPECIAL_THRESHOLD)
         valid = values[~missing].astype(np.float64, copy=False)
         writer = SectionWriter()
         n_missing = int(missing.sum())
         if n_missing:
-            writer.add("bitmap", zlib.compress(np.packbits(missing).tobytes(), 4))
+            writer.add("bitmap", deflate_mask(missing))
             # GRIB2 bitmaps flag position only; the value itself (CESM fill)
             # is restored from one stored exemplar per blob.
             writer.add("fill",
@@ -134,20 +133,13 @@ class Grib2Jpeg2000(Compressor):
         missing = np.zeros(count, dtype=bool)
         fill = 0.0
         if n_missing:
-            packed = np.frombuffer(zlib.decompress(reader.get("bitmap")),
-                                   dtype=np.uint8)
-            missing = np.unpackbits(packed, count=count).astype(bool)
+            missing = inflate_mask(reader.get("bitmap"), count)
             fill = float(np.frombuffer(reader.get("fill"), dtype=np.float64)[0])
 
         out = np.full(count, fill, dtype=np.float64)
         n_valid = count - n_missing
         if n_valid:
-            if mode == MODE_RICE:
-                codes = rice_decode(reader.get("codes"))
-            elif mode == MODE_DEFLATE:
-                codes = inflate_uint(reader.get("codes"), width)
-            else:
-                raise ValueError(f"unknown GRIB2 mode {mode}")
+            codes = entropy_decode(mode, width, reader.get("codes"), n_valid)
             lengths = np.frombuffer(reader.get("lengths"),
                                     dtype=np.int64).tolist()
             ints = inverse_53(zigzag_decode(codes), lengths)

@@ -102,6 +102,8 @@ class Isabela(Compressor):
         return f"ISA-{label}"
 
     def _encode_values(self, values: np.ndarray) -> bytes:
+        if not np.isfinite(values).all():
+            raise ValueError("ISABELA cannot encode NaN or infinite values")
         n = values.size
         w = self.window
         n_full = n // w
@@ -116,54 +118,38 @@ class Isabela(Compressor):
         escape_idx: list[np.ndarray] = []
         escape_val: list[np.ndarray] = []
 
+        # Full windows, then a tail long enough for a spline of its own.
+        blocks = []
         if n_full:
-            block = values[: n_full * w].reshape(n_full, w).astype(
-                np.float64, copy=False)
+            blocks.append((0, values[: n_full * w].reshape(n_full, w)))
+        if tail >= _MIN_SPLINE_WINDOW:
+            blocks.append((n_full * w, values[n_full * w:].reshape(1, tail)))
+        for start, block in blocks:
+            block = block.astype(np.float64, copy=False)
+            length = block.shape[1]
+            k = max(min(self.n_coeffs, length), _DEGREE + 1)
             order = np.argsort(block, axis=1, kind="stable")
             sorted_vals = np.take_along_axis(block, order, axis=1)
-            design, pinv = _design_matrices(w, self.n_coeffs)
-            coeffs = sorted_vals @ pinv.T  # (n_full, n_coeffs)
-            coeffs = coeffs.astype(np.float32, copy=False)
+            design, pinv = _design_matrices(length, k)
+            coeffs = (sorted_vals @ pinv.T).astype(np.float32, copy=False)
             recon = coeffs.astype(np.float64, copy=True) @ design.T
             q, eps, esc = self._quantize_corrections(sorted_vals, recon)
             corrections.append(q.ravel())
             steps_meta.extend(eps.tolist())
             if esc.any():
                 flat = np.flatnonzero(esc.ravel())
-                escape_idx.append(flat.astype(np.uint64))
+                escape_idx.append((flat + start).astype(np.uint64))
                 escape_val.append(sorted_vals.ravel()[flat])
-
-            writer.add("index", pack_fixed(order.ravel().astype(np.uint64),
-                                           _index_width(w)))
-            writer.add("coeffs", coeffs.tobytes())
-
-        if tail:
-            tail_vals = values[n_full * w:].astype(np.float64, copy=False)
-            if tail >= _MIN_SPLINE_WINDOW:
-                k = min(self.n_coeffs, tail)
-                k = max(k, _DEGREE + 1)
-                order_t = np.argsort(tail_vals, kind="stable")
-                sorted_t = tail_vals[order_t]
-                design_t, pinv_t = _design_matrices(tail, k)
-                coeffs_t = (pinv_t @ sorted_t).astype(np.float32, copy=False)
-                recon_t = design_t @ coeffs_t.astype(np.float64, copy=True)
-                q_t, eps_t, esc_t = self._quantize_corrections(
-                    sorted_t[None, :], recon_t[None, :]
-                )
-                corrections.append(q_t.ravel())
-                steps_meta.extend(eps_t.tolist())
-                if esc_t.any():
-                    flat = np.flatnonzero(esc_t.ravel()) + n_full * w
-                    escape_idx.append(flat.astype(np.uint64))
-                    escape_val.append(
-                        sorted_t[np.flatnonzero(esc_t.ravel())]
-                    )
-                writer.add("tindex", pack_fixed(order_t.astype(np.uint64),
-                                                _index_width(tail)))
-                writer.add("tcoeffs", struct.pack("<I", k) + coeffs_t.tobytes())
-            else:
-                writer.add("raw",
-                           tail_vals.astype(np.float32, copy=False).tobytes())
+            index = pack_fixed(order.ravel().astype(np.uint64),
+                               _index_width(length))
+            if length == w:
+                writer.add("index", index)
+                writer.add("coeffs", coeffs.tobytes())
+            else:  # the tail records its own coefficient count
+                writer.add("tindex", index)
+                writer.add("tcoeffs", struct.pack("<I", k) + coeffs.tobytes())
+        if 0 < tail < _MIN_SPLINE_WINDOW:
+            writer.add("raw", values[n_full * w:].tobytes())
 
         if corrections:
             q_all = np.concatenate(corrections)
@@ -201,6 +187,23 @@ class Isabela(Compressor):
         q[escapes] = 0
         return q, eps, escapes
 
+    @staticmethod
+    def _rebuild(order, coeffs, q, eps, rel_error, escapes, start):
+        """Flat float64 values of the windows from flat index ``start``:
+        ``order`` (windows x length) and ``coeffs`` (windows x k) per row,
+        ``q`` and ``eps`` the windows' corrections and floors."""
+        design, _ = _design_matrices(order.shape[1], coeffs.shape[1])
+        recon = coeffs.astype(np.float64, copy=True) @ design.T
+        step = rel_error * np.maximum(np.abs(recon), eps[:, None])
+        recon = recon + q.reshape(recon.shape) * step
+        esc_idx, esc_val = escapes
+        if esc_idx is not None:
+            inside = (esc_idx >= start) & (esc_idx < start + recon.size)
+            recon.reshape(-1)[esc_idx[inside] - start] = esc_val[inside]
+        out = np.empty_like(recon)
+        np.put_along_axis(out, order, recon, axis=1)
+        return out.reshape(-1)
+
     def _decode_values(
         self, payload: bytes, count: int, dtype: np.dtype
     ) -> np.ndarray:
@@ -216,55 +219,31 @@ class Isabela(Compressor):
         if "corr" in reader:
             q_all = zigzag_decode(rice_decode(reader.get("corr")))
             eps_all = np.frombuffer(reader.get("eps"), dtype=np.float64)
+        escapes = self._read_escapes(reader, dtype)
 
-        out = np.empty(n, dtype=np.float64)
-        esc_idx, esc_val = self._read_escapes(reader, dtype)
-        q_off = 0
-        eps_off = 0
+        parts = []
         if n_full:
             order = unpack_fixed(reader.get("index"), _index_width(w),
                                  n_full * w).astype(np.int64)
-            order = order.reshape(n_full, w)
             coeffs = np.frombuffer(reader.get("coeffs"), dtype=np.float32)
-            coeffs = coeffs.reshape(n_full, n_coeffs).astype(np.float64,
-                                                             copy=True)
-            design, _ = _design_matrices(w, n_coeffs)
-            recon = coeffs @ design.T
-            eps = eps_all[:n_full]
-            step = rel_error * np.maximum(np.abs(recon), eps[:, None])
-            q = q_all[: n_full * w].reshape(n_full, w)
-            recon = recon + q * step
-            if esc_idx is not None:
-                in_full = esc_idx < n_full * w
-                recon.ravel()[esc_idx[in_full]] = esc_val[in_full]
-            block = np.empty_like(recon)
-            np.put_along_axis(block, order, recon, axis=1)
-            out[: n_full * w] = block.ravel()
-            q_off = n_full * w
-            eps_off = n_full
-
-        if tail:
-            if "raw" in reader:
-                out[n_full * w:] = np.frombuffer(reader.get("raw"),
-                                                 dtype=np.float32)
-            else:
-                order_t = unpack_fixed(reader.get("tindex"),
-                                       _index_width(tail), tail).astype(np.int64)
-                tc = reader.get("tcoeffs")
-                (k,) = struct.unpack_from("<I", tc, 0)
-                coeffs_t = np.frombuffer(tc[4:], dtype=np.float32)
-                design_t, _ = _design_matrices(tail, k)
-                recon_t = design_t @ coeffs_t.astype(np.float64, copy=True)
-                eps_t = eps_all[eps_off]
-                step_t = rel_error * np.maximum(np.abs(recon_t), eps_t)
-                recon_t = recon_t + q_all[q_off : q_off + tail] * step_t
-                if esc_idx is not None:
-                    in_tail = esc_idx >= n_full * w
-                    recon_t[esc_idx[in_tail] - n_full * w] = esc_val[in_tail]
-                seg = np.empty(tail, dtype=np.float64)
-                seg[order_t] = recon_t
-                out[n_full * w:] = seg
-        return out.astype(dtype, copy=False)
+            parts.append(self._rebuild(
+                order.reshape(n_full, w), coeffs.reshape(n_full, n_coeffs),
+                q_all[: n_full * w], eps_all[:n_full], rel_error, escapes, 0,
+            ))
+        if "raw" in reader:
+            parts.append(np.frombuffer(reader.get("raw"), dtype=dtype))
+        elif tail:
+            order_t = unpack_fixed(reader.get("tindex"),
+                                   _index_width(tail), tail).astype(np.int64)
+            tc = reader.get("tcoeffs")
+            (k,) = struct.unpack_from("<I", tc, 0)
+            coeffs_t = np.frombuffer(tc[4:], dtype=np.float32)
+            parts.append(self._rebuild(
+                order_t.reshape(1, tail), coeffs_t.reshape(1, k),
+                q_all[n_full * w:], eps_all[n_full:], rel_error, escapes,
+                n_full * w,
+            ))
+        return np.concatenate(parts).astype(dtype, copy=False)
 
     @staticmethod
     def _read_escapes(reader: SectionReader, dtype):
@@ -287,11 +266,8 @@ class Isabela(Compressor):
         "a subset of the data (instead of the entire dataset) can be
         decoded".  Only full windows are addressable.
         """
-        reader = SectionReader(blob)
-        head = reader.get("head")
-        # Reuse the base-class framing: dtype code at offset 1, ndim at 3.
-        dtype = np.dtype(head[1:3].decode())
-        payload = SectionReader(reader.get("data"))
+        data, dtype, _ = self._open(blob)
+        payload = SectionReader(data)
         n, w, n_coeffs, rel_error, tail = struct.unpack("<QIIdI",
                                                         payload.get("meta"))
         n_full = (n - tail) // w
@@ -318,20 +294,13 @@ class Isabela(Compressor):
         ).astype(np.int64)
 
         coeffs = np.frombuffer(payload.get("coeffs"), dtype=np.float32)
-        coeffs = coeffs.reshape(n_full, n_coeffs)[i].astype(np.float64,
-                                                            copy=True)
-        design, _ = _design_matrices(w, n_coeffs)
-        recon = design @ coeffs
         q_all = zigzag_decode(rice_decode(payload.get("corr")))
-        eps = np.frombuffer(payload.get("eps"), dtype=np.float64)[i]
-        step = rel_error * np.maximum(np.abs(recon), eps)
-        recon = recon + q_all[i * w : (i + 1) * w] * step
-        esc_idx, esc_val = self._read_escapes(payload, dtype)
-        if esc_idx is not None:
-            in_window = (esc_idx >= i * w) & (esc_idx < (i + 1) * w)
-            recon[esc_idx[in_window] - i * w] = esc_val[in_window]
-        window = np.empty(w, dtype=np.float64)
-        window[order] = recon
+        eps = np.frombuffer(payload.get("eps"), dtype=np.float64)
+        window = self._rebuild(
+            order.reshape(1, w), coeffs.reshape(n_full, n_coeffs)[i:i + 1],
+            q_all[i * w:(i + 1) * w], eps[i:i + 1], rel_error,
+            self._read_escapes(payload, dtype), i * w,
+        )
         return window.astype(dtype, copy=False)
 
     @classmethod

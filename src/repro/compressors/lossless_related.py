@@ -156,37 +156,28 @@ class Mafisc(Compressor):
         return True
 
     def _filtered(self, values: np.ndarray, filter_id: int) -> bytes:
+        if not 0 <= filter_id <= _FILTER_SHUFFLE_DELTA:
+            raise ValueError(f"unknown MAFISC filter {filter_id}")
         itemsize = values.dtype.itemsize
-        if filter_id == _FILTER_NONE:
-            return values.tobytes()
-        if filter_id == _FILTER_DELTA:
+        if filter_id in (_FILTER_DELTA, _FILTER_SHUFFLE_DELTA):
             ints = values.view(f"<u{itemsize}")
-            deltas = np.diff(ints, prepend=ints.dtype.type(0))
-            return deltas.tobytes()
-        if filter_id == _FILTER_SHUFFLE:
-            return shuffle_bytes(values.tobytes(), itemsize)
-        if filter_id == _FILTER_SHUFFLE_DELTA:
-            ints = values.view(f"<u{itemsize}")
-            deltas = np.diff(ints, prepend=ints.dtype.type(0))
-            return shuffle_bytes(deltas.tobytes(), itemsize)
-        raise ValueError(f"unknown MAFISC filter {filter_id}")
+            values = np.diff(ints, prepend=ints.dtype.type(0))
+        raw = values.tobytes()
+        if filter_id in (_FILTER_SHUFFLE, _FILTER_SHUFFLE_DELTA):
+            raw = shuffle_bytes(raw, itemsize)
+        return raw
 
     def _unfiltered(self, raw: bytes, filter_id: int,
                     dtype: np.dtype) -> np.ndarray:
+        if not 0 <= filter_id <= _FILTER_SHUFFLE_DELTA:
+            raise ValueError(f"unknown MAFISC filter {filter_id}")
         itemsize = np.dtype(dtype).itemsize
-        if filter_id == _FILTER_NONE:
-            return np.frombuffer(raw, dtype=dtype).copy()
-        if filter_id == _FILTER_DELTA:
+        if filter_id in (_FILTER_SHUFFLE, _FILTER_SHUFFLE_DELTA):
+            raw = unshuffle_bytes(raw, itemsize)
+        if filter_id in (_FILTER_DELTA, _FILTER_SHUFFLE_DELTA):
             deltas = np.frombuffer(raw, dtype=f"<u{itemsize}")
             return np.cumsum(deltas, dtype=deltas.dtype).view(dtype).copy()
-        if filter_id == _FILTER_SHUFFLE:
-            return np.frombuffer(unshuffle_bytes(raw, itemsize),
-                                 dtype=dtype).copy()
-        if filter_id == _FILTER_SHUFFLE_DELTA:
-            deltas = np.frombuffer(unshuffle_bytes(raw, itemsize),
-                                   dtype=f"<u{itemsize}")
-            return np.cumsum(deltas, dtype=deltas.dtype).view(dtype).copy()
-        raise ValueError(f"unknown MAFISC filter {filter_id}")
+        return np.frombuffer(raw, dtype=dtype).copy()
 
     def _encode_values(self, values: np.ndarray) -> bytes:
         candidates = (
@@ -208,13 +199,7 @@ class Mafisc(Compressor):
         if len(payload) < 2:
             raise ValueError("truncated MAFISC payload")
         (filter_id,) = struct.unpack_from("<B", payload, 0)
-        raw = lzma.decompress(payload[1:])
-        values = self._unfiltered(raw, filter_id, dtype)
-        if values.size != count:
-            raise ValueError(
-                f"decoded {values.size} values, expected {count}"
-            )
-        return values
+        return self._unfiltered(lzma.decompress(payload[1:]), filter_id, dtype)
 
     @classmethod
     def properties(cls) -> CodecProperties:

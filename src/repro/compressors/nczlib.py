@@ -47,13 +47,7 @@ class NetCDF4Zlib(Compressor):
         self, payload: bytes, count: int, dtype: np.dtype
     ) -> np.ndarray:
         itemsize = np.dtype(dtype).itemsize if self.shuffle else 1
-        raw = inflate(payload, itemsize=itemsize)
-        values = np.frombuffer(raw, dtype=dtype)
-        if values.size != count:
-            raise ValueError(
-                f"decoded {values.size} values, expected {count}"
-            )
-        return values
+        return np.frombuffer(inflate(payload, itemsize=itemsize), dtype=dtype)
 
     @classmethod
     def properties(cls) -> CodecProperties:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.encoding.zigzag import zigzag_decode, zigzag_encode
+
 __all__ = [
     "float_to_ordered_int",
     "ordered_int_to_float",
@@ -19,6 +21,8 @@ __all__ = [
     "delta_decode",
     "lorenzo2d_encode",
     "lorenzo2d_decode",
+    "predict",
+    "unpredict",
 ]
 
 _UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
@@ -141,3 +145,26 @@ def lorenzo2d_decode(residuals: np.ndarray) -> np.ndarray:
         )
     return np.cumsum(np.cumsum(residuals, axis=1, dtype=np.int64), axis=0,
                      dtype=np.int64)
+
+
+def predict(codes: np.ndarray, ncols: int,
+            lorenzo: bool) -> tuple[np.ndarray, int]:
+    """Zigzagged residuals of the flat int64 ``codes``, and the ``ncols``
+    used: Lorenzo over rows of ``ncols`` if ``lorenzo`` is set and they
+    tile ``codes`` in at least two rows and columns, else delta and 0.
+    """
+    size = codes.size
+    if lorenzo and ncols > 1 and size % ncols == 0 and size > ncols:
+        signed = lorenzo2d_encode(codes.reshape(-1, ncols)).ravel()
+    else:
+        ncols = 0
+        signed = delta_encode(codes)
+    return zigzag_encode(signed), ncols
+
+
+def unpredict(residuals: np.ndarray, ncols: int) -> np.ndarray:
+    """Inverse of :func:`predict`: flat uint64 residuals to int64 codes."""
+    signed = zigzag_decode(residuals)
+    if ncols:
+        return lorenzo2d_decode(signed.reshape(-1, ncols)).ravel()
+    return delta_decode(signed)

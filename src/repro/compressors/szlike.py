@@ -32,32 +32,18 @@ reconstruction satisfies ``max|x - x_hat| <= eb`` unconditionally.
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 
 from repro.compressors.base import CodecProperties, Compressor
-from repro.encoding.bitplane import (
-    candidate_splits,
-    split_decode,
-    split_encode,
-)
-from repro.compressors.prediction import (
-    delta_decode,
-    delta_encode,
-    lorenzo2d_decode,
-    lorenzo2d_encode,
-)
+from repro.encoding.bitplane import candidate_splits, split_encode
+from repro.compressors.prediction import predict, unpredict
 from repro.config import FILL_VALUE
 from repro.encoding.container import SectionReader, SectionWriter
-from repro.encoding.deflate import deflate, inflate, inflate_uint
-from repro.encoding.rice import (MODE_DEFLATE, MODE_RICE, rice_decode,
-                                 rice_or_deflate)
-from repro.encoding.zigzag import zigzag_decode, zigzag_encode
+from repro.encoding.deflate import deflate, deflate_mask, inflate, inflate_mask
+from repro.encoding.rice import MODE_SPLIT, entropy_decode, rice_or_deflate
 
 __all__ = ["SzLike"]
-
-_MODE_SPLIT = 2  # after rice.MODE_RICE and rice.MODE_DEFLATE
 
 _DOMAIN_LINEAR = 0
 _DOMAIN_LOG = 1
@@ -236,18 +222,8 @@ class SzLike(Compressor):
         escape = ~ok
         codes[escape] = 0
 
-        use_lorenzo = (
-            self.predictor == "lorenzo" and ncols > 1
-            and values.size % ncols == 0 and values.size > ncols
-        )
-        if use_lorenzo:
-            signed = lorenzo2d_encode(codes.reshape(-1, ncols)).ravel()
-        else:
-            ncols = 0
-            signed = delta_encode(codes)
-        residuals = zigzag_encode(signed)
-
-        splits = ((_MODE_SPLIT, split_encode(residuals, k, self.level))
+        residuals, ncols = predict(codes, ncols, self.predictor == "lorenzo")
+        splits = ((MODE_SPLIT, split_encode(residuals, k, self.level))
                   for k in candidate_splits(residuals))
         mode, width, payload = rice_or_deflate(residuals, self.level, splits)
 
@@ -257,11 +233,9 @@ class SzLike(Compressor):
         if domain == _DOMAIN_LOG:
             neg = ok & (x < 0.0)
             if neg.any():
-                writer.add("sgn",
-                           zlib.compress(np.packbits(neg).tobytes(), 4))
+                writer.add("sgn", deflate_mask(neg))
         if escape.any():
-            writer.add("emask",
-                       zlib.compress(np.packbits(escape).tobytes(), 4))
+            writer.add("emask", deflate_mask(escape))
             writer.add("eval", deflate(values[escape].tobytes(), self.level,
                                        itemsize=values.dtype.itemsize))
         return writer.tobytes()
@@ -271,40 +245,19 @@ class SzLike(Compressor):
     ) -> np.ndarray:
         reader = SectionReader(payload)
         mode, width, domain, ncols, step = _META.unpack(reader.get("meta"))
-        body = reader.get("q")
-        if mode == MODE_RICE:
-            residuals = rice_decode(body)
-        elif mode == MODE_DEFLATE:
-            residuals = inflate_uint(body, width)
-        elif mode == _MODE_SPLIT:
-            residuals = split_decode(body, count)
-        else:
-            raise ValueError(f"unknown SZ mode {mode}")
-        if residuals.size != count:
-            raise ValueError(
-                f"decoded {residuals.size} residuals, expected {count}"
-            )
-        signed = zigzag_decode(residuals)
-        if ncols:
-            codes = lorenzo2d_decode(signed.reshape(-1, ncols)).ravel()
-        else:
-            codes = delta_decode(signed)
+        residuals = entropy_decode(mode, width, reader.get("q"), count)
+        codes = unpredict(residuals, ncols)
         if domain == _DOMAIN_LOG:
             out = _dequantize_log(codes, step, dtype)
             if "sgn" in reader:
-                packed = np.frombuffer(
-                    zlib.decompress(reader.get("sgn")), dtype=np.uint8
-                )
-                neg = np.unpackbits(packed, count=count).astype(bool)
+                neg = inflate_mask(reader.get("sgn"), count)
                 out[neg] = -out[neg]
         elif domain == _DOMAIN_LINEAR:
             out = _dequantize(codes, step, dtype)
         else:
             raise ValueError(f"unknown SZ lattice domain {domain}")
         if "emask" in reader:
-            packed = np.frombuffer(zlib.decompress(reader.get("emask")),
-                                   dtype=np.uint8)
-            mask = np.unpackbits(packed, count=count).astype(bool)
+            mask = inflate_mask(reader.get("emask"), count)
             raw = inflate(reader.get("eval"),
                           itemsize=np.dtype(dtype).itemsize)
             out[mask] = np.frombuffer(raw, dtype=dtype)

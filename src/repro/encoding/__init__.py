@@ -7,56 +7,15 @@ block, so their temporaries stay bounded, and emit the same bytes as a
 whole-array pass:
 
 - :mod:`repro.encoding.bitio` — fixed-width and unary bit packing.
-- :mod:`repro.encoding.rice` — a split-stream Golomb-Rice entropy codec.
+- :mod:`repro.encoding.rice` — a split-stream Golomb-Rice entropy codec,
+  and the codecs' residual stage: :func:`~repro.encoding.rice.rice_or_deflate`
+  picks the smallest coding, :func:`~repro.encoding.rice.entropy_decode`
+  inverts it.
+- :mod:`repro.encoding.bitplane` — raw low planes + DEFLATEd high planes.
 - :mod:`repro.encoding.zigzag` — signed/unsigned integer mapping.
 - :mod:`repro.encoding.deflate` — HDF5-style shuffle filter + DEFLATE,
-  also for integer streams on their narrowest unsigned dtype.
+  also for integer streams on their narrowest unsigned dtype and for
+  boolean masks as packed bits.
 - :mod:`repro.encoding.container` — tiny length-prefixed section container
   used by codecs to serialize multi-stream payloads.
 """
-
-from repro.encoding.bitio import (
-    pack_fixed,
-    unpack_fixed,
-    pack_unary,
-    unpack_unary,
-)
-from repro.encoding.rice import (
-    rice_encode,
-    rice_decode,
-    rice_size,
-    rice_or_deflate,
-    choose_rice_k,
-)
-from repro.encoding.zigzag import zigzag_encode, zigzag_decode
-from repro.encoding.deflate import (
-    deflate,
-    inflate,
-    shuffle_bytes,
-    unshuffle_bytes,
-    deflate_uint,
-    inflate_uint,
-)
-from repro.encoding.container import SectionWriter, SectionReader
-
-__all__ = [
-    "pack_fixed",
-    "unpack_fixed",
-    "pack_unary",
-    "unpack_unary",
-    "rice_encode",
-    "rice_decode",
-    "rice_size",
-    "rice_or_deflate",
-    "choose_rice_k",
-    "zigzag_encode",
-    "zigzag_decode",
-    "deflate",
-    "inflate",
-    "shuffle_bytes",
-    "unshuffle_bytes",
-    "deflate_uint",
-    "inflate_uint",
-    "SectionWriter",
-    "SectionReader",
-]

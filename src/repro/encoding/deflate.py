@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 
 __all__ = ["shuffle_bytes", "unshuffle_bytes", "deflate", "inflate",
-           "deflate_uint", "inflate_uint"]
+           "deflate_uint", "inflate_uint", "deflate_mask", "inflate_mask"]
 
 
 def shuffle_bytes(data: bytes, itemsize: int) -> bytes:
@@ -78,3 +78,20 @@ def inflate_uint(data: bytes, itemsize: int) -> np.ndarray:
         raise ValueError(f"bad unsigned itemsize {itemsize}")
     return np.frombuffer(inflate(data, itemsize=itemsize),
                          dtype=f"<u{itemsize}").astype(np.uint64)
+
+
+def deflate_mask(mask: np.ndarray) -> bytes:
+    """DEFLATE a flat boolean mask as packed bits (eight flags a byte)."""
+    return zlib.compress(np.packbits(mask).tobytes(), 4)
+
+
+def inflate_mask(data: bytes, count: int) -> np.ndarray:
+    """Inverse of :func:`deflate_mask`: a flat bool array of ``count``.
+
+    A mask of another length raises :class:`ValueError`;
+    :func:`numpy.unpackbits` would pad a short one with zeros.
+    """
+    packed = np.frombuffer(zlib.decompress(data), dtype=np.uint8)
+    if packed.size != (count + 7) // 8:
+        raise ValueError(f"mask of {packed.size} bytes for {count} flags")
+    return np.unpackbits(packed, count=count).astype(bool)

@@ -27,10 +27,12 @@ from repro.encoding.bitio import (
     unpack_fixed,
     unpack_unary,
 )
-from repro.encoding.deflate import deflate_uint
+from repro.encoding.bitplane import split_decode
+from repro.encoding.deflate import deflate_uint, inflate_uint
 
 __all__ = ["rice_encode", "rice_decode", "choose_rice_k", "rice_size",
-           "rice_or_deflate", "MODE_RICE", "MODE_DEFLATE"]
+           "rice_or_deflate", "entropy_decode", "MODE_RICE", "MODE_DEFLATE",
+           "MODE_SPLIT"]
 
 #: Quotients at or above this value are escaped to a raw 64-bit side stream.
 ESCAPE_Q = 40
@@ -38,9 +40,11 @@ ESCAPE_Q = 40
 _HEADER = struct.Struct("<IQIIxxxx")  # magic, count, k, n_escaped (+pad)
 _MAGIC = 0x52494345  # "RICE"
 
-#: Entropy-stage modes :func:`rice_or_deflate` reports.
+#: Entropy-stage modes :func:`rice_or_deflate` reports; ``MODE_SPLIT``
+#: marks a :func:`repro.encoding.bitplane.split_encode` payload.
 MODE_RICE = 0
 MODE_DEFLATE = 1
+MODE_SPLIT = 2
 
 
 def _check_k(k: int) -> None:
@@ -117,6 +121,24 @@ def rice_or_deflate(values: np.ndarray, level: int = 4,
     if payload is None:
         payload = rice_encode(values, k)
     return mode, width, payload
+
+
+def entropy_decode(mode: int, width: int, payload: bytes,
+                   count: int) -> np.ndarray:
+    """Inverse of :func:`rice_or_deflate`: a flat uint64 array of ``count``
+    values, or :class:`ValueError` for an unknown mode or another count.
+    """
+    if mode == MODE_RICE:
+        values = rice_decode(payload)
+    elif mode == MODE_DEFLATE:
+        values = inflate_uint(payload, width)
+    elif mode == MODE_SPLIT:
+        values = split_decode(payload, count)
+    else:
+        raise ValueError(f"unknown entropy mode {mode}")
+    if values.size != count:
+        raise ValueError(f"decoded {values.size} values, expected {count}")
+    return values
 
 
 def rice_encode(values: np.ndarray, k: int | None = None) -> bytes:

@@ -114,16 +114,25 @@ class TestDegenerateInputs:
         )
 
     def test_nan_input_behaves(self, codec):
-        data = _smooth((8, 16))
-        data[::3, ::5] = np.nan
-        try:
-            out = codec.decompress(codec.compress(data))
-        except (ValueError, TypeError):
-            return  # rejecting NaN with a clear error satisfies the contract
-        assert out.shape == data.shape
-        assert out.dtype == data.dtype
-        if codec.properties().special_values:
-            assert np.isnan(out[np.isnan(data)]).all()
+        inputs = []
+        for bad in (np.nan, np.inf, -np.inf):
+            inputs.append(_smooth((8, 16)))
+            inputs[-1][::3, ::5] = bad
+        inputs.append(_smooth((8, 16)))
+        inputs[-1][0, :3] = (np.inf, -np.inf, FILL_VALUE)
+        for data in inputs:
+            try:
+                out = codec.decompress(codec.compress(data))
+            except (ValueError, TypeError):
+                continue  # rejecting with a clear error meets the contract
+            assert out.shape == data.shape
+            assert out.dtype == data.dtype
+            # Non-finite input must not leak into the finite points.
+            finite = np.isfinite(data)
+            assert np.isfinite(out[finite]).all()
+            if codec.properties().special_values:
+                assert np.array_equal(out[~finite], data[~finite],
+                                      equal_nan=True)
 
     def test_fill_values_pass_through(self, codec):
         data = _smooth((8, 16))

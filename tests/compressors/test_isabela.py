@@ -66,10 +66,13 @@ class TestStorageStructure:
 
     def test_tiny_tail_stored_raw(self, rng):
         data = rng.normal(0, 1, 1024 + 5).astype(np.float32)
+        data64 = data.astype(np.float64)
+        data64[-2:] = (1e300, 1e-50)  # neither survives a float32 cast
         codec = Isabela(rel_error_pct=0.5)
-        out = codec.decompress(codec.compress(data))
-        # Raw float32 tail is exact.
-        assert np.array_equal(out[-5:], data[-5:])
+        for x in (data, data64):
+            out = codec.decompress(codec.compress(x))
+            # The raw tail is exact, in the input dtype.
+            assert np.array_equal(out[-5:], x[-5:])
 
     def test_short_input(self, rng):
         data = rng.normal(0, 1, 17).astype(np.float32)
@@ -119,6 +122,11 @@ class TestRandomAccess:
         full = codec.decompress(blob).reshape(-1)
         w = codec.decode_window(blob, 2)
         assert np.array_equal(w, full[2 * 256: 3 * 256])
+
+    def test_decode_window_rejects_another_variant(self, climate_field):
+        blob = Isabela(rel_error_pct=0.5, window=256).compress(climate_field)
+        with pytest.raises(ValueError, match="written by"):
+            Isabela(rel_error_pct=1.0, window=256).decode_window(blob, 0)
 
     def test_decode_window_out_of_range(self, climate_field):
         codec = Isabela(rel_error_pct=0.5, window=256)

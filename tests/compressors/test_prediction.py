@@ -8,8 +8,11 @@ from repro.compressors.prediction import (
     delta_encode,
     float_to_ordered_int,
     ordered_int_to_float,
+    predict,
     truncate_precision,
+    unpredict,
 )
+from repro.encoding.zigzag import zigzag_encode
 
 
 class TestOrderedInt:
@@ -112,3 +115,21 @@ class TestDelta:
         # Extreme values wrap in int64 but the roundtrip must still hold.
         codes = np.array([-(2**62), 2**62, -(2**62)], dtype=np.int64)
         assert np.array_equal(delta_decode(delta_encode(codes)), codes)
+
+
+class TestPredict:
+    @pytest.mark.parametrize("ncols", [0, 1, 60, 7])
+    def test_unusable_layouts_fall_back_to_delta(self, rng, ncols):
+        # 60 codes: no layout, one column, one row, ragged rows.
+        codes = rng.integers(-1000, 1000, 60)
+        residuals, used = predict(codes, ncols, lorenzo=True)
+        assert used == 0
+        assert np.array_equal(residuals, zigzag_encode(delta_encode(codes)))
+        assert np.array_equal(unpredict(residuals, used), codes)
+
+    def test_lorenzo_roundtrip(self, rng):
+        codes = rng.integers(-1000, 1000, 60)
+        residuals, used = predict(codes, 6, lorenzo=True)
+        assert used == 6
+        assert np.array_equal(unpredict(residuals, used), codes)
+        assert predict(codes, 6, lorenzo=False)[1] == 0

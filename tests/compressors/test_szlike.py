@@ -5,6 +5,8 @@ import pytest
 
 from repro.compressors import SzLike
 from repro.config import FILL_VALUE
+from repro.encoding.container import SectionReader, SectionWriter
+from repro.encoding.deflate import deflate_mask
 
 
 @pytest.fixture
@@ -105,6 +107,23 @@ class TestPointwiseBound:
         x = data.astype(np.float64)
         assert (np.abs(out.astype(np.float64) - x)
                 <= 1e-3 * np.abs(x)).all()
+
+    def test_short_sign_mask_raises(self, rng):
+        # A one-byte sign mask used to decode, leaving later negatives
+        # positive.
+        data = -np.exp(rng.normal(0, 1, 1024)).astype(np.float32)
+        codec = SzLike(1e-3, "pw")
+        outer = SectionReader(codec.compress(data))
+        inner = SectionReader(outer.get("data"))
+        payload = SectionWriter()
+        for name in inner.names():
+            payload.add(name, deflate_mask(np.ones(8, dtype=bool))
+                        if name == "sgn" else inner.get(name))
+        blob = SectionWriter()
+        blob.add("head", outer.get("head"))
+        blob.add("data", payload.tobytes())
+        with pytest.raises(ValueError, match="mask"):
+            codec.decompress(blob.tobytes())
 
     def test_bound_independent_of_field_range(self, rng):
         # Unlike mode="rel", adding a huge outlier must not loosen the

@@ -5,7 +5,9 @@ import pytest
 
 from repro.encoding.deflate import (
     deflate,
+    deflate_mask,
     inflate,
+    inflate_mask,
     shuffle_bytes,
     unshuffle_bytes,
 )
@@ -54,3 +56,17 @@ class TestDeflate:
     def test_level_zero_roundtrips(self):
         data = b"x" * 100
         assert inflate(deflate(data, level=0)) == data
+
+
+class TestMask:
+    @pytest.mark.parametrize("count", [1, 8, 13, 1024])
+    def test_roundtrip(self, rng, count):
+        mask = rng.random(count) < 0.3
+        out = inflate_mask(deflate_mask(mask), count)
+        assert out.dtype == bool
+        assert np.array_equal(out, mask)
+
+    def test_short_mask_raises(self):
+        # np.unpackbits(count=) would pad the missing flags with False.
+        with pytest.raises(ValueError, match="mask"):
+            inflate_mask(deflate_mask(np.ones(8, dtype=bool)), 1024)

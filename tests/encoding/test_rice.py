@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.encoding.bitplane import split_encode
 from repro.encoding.deflate import deflate_uint
 from repro.encoding.rice import (
     ESCAPE_Q,
     MODE_DEFLATE,
     MODE_RICE,
+    MODE_SPLIT,
     choose_rice_k,
+    entropy_decode,
     rice_decode,
     rice_encode,
     rice_or_deflate,
@@ -122,3 +125,23 @@ class TestRiceOrDeflate:
                   (9, b"y" * (len(rice) - 1))]
         assert rice_or_deflate(values, 4, others[:1])[0] == MODE_RICE
         assert rice_or_deflate(values, 4, others) == (8, 0, others[1][1])
+
+    def test_entropy_decode_inverts_every_mode(self, rng):
+        values = rng.geometric(0.05, 1_000).astype(np.uint64)
+        for mode, width, payload in (
+            (MODE_RICE, 0, rice_encode(values)),
+            (MODE_DEFLATE, *deflate_uint(values, 4)),
+            (MODE_SPLIT, 0, split_encode(values, 3)),
+            rice_or_deflate(values),
+        ):
+            out = entropy_decode(mode, width, payload, values.size)
+            assert out.dtype == np.uint64
+            assert np.array_equal(out, values)
+
+    def test_entropy_decode_rejects_bad_mode_and_count(self):
+        values = np.arange(100, dtype=np.uint64)
+        payload = rice_encode(values)
+        with pytest.raises(ValueError, match="unknown entropy mode"):
+            entropy_decode(7, 0, payload, 100)
+        with pytest.raises(ValueError, match="expected 101"):
+            entropy_decode(MODE_RICE, 0, payload, 101)
