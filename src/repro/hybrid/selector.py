@@ -16,11 +16,12 @@ import numpy as np
 from repro import store
 from repro.compressors.base import Compressor
 from repro.compressors.registry import get_variant, method_families
-from repro.metrics.average import nrmse
-from repro.metrics.correlation import pearson
-from repro.metrics.pointwise import normalized_max_error
 from repro.model.ensemble import CAMEnsemble
-from repro.pvt.acceptance import VariableContext, evaluate_variable
+from repro.pvt.acceptance import (
+    VariableContext,
+    VariableVerdict,
+    evaluate_variable,
+)
 
 __all__ = ["HybridChoice", "HybridResult", "build_hybrid", "build_all_hybrids"]
 
@@ -36,9 +37,8 @@ class HybridChoice:
     nrmse: float
     e_nmax: float
     lossless: bool
-    #: Points per member field, so summaries can weight by data volume
-    #: (0 in results built before this field existed).
-    n_points: int = 0
+    #: Points per member field, so summaries can weight by data volume.
+    n_points: int
 
 
 @dataclass
@@ -56,20 +56,14 @@ class HybridResult:
         variable's points per member, i.e. total compressed bytes over
         total original bytes — the honest "how much smaller is the whole
         data set" number (3-D fields dominate it, as they do the data
-        volume).  Falls back to the unweighted mean for results built
-        before sizes were recorded.
+        volume).
         """
         crs = np.asarray([c.cr for c in self.choices.values()])
-        sizes = np.asarray([
-            getattr(c, "n_points", 0) for c in self.choices.values()
-        ], dtype=np.float64)
-        total = (
-            float((crs * sizes).sum() / sizes.sum())
-            if sizes.sum() > 0 else float(crs.mean())
-        )
+        sizes = np.asarray([c.n_points for c in self.choices.values()],
+                           dtype=np.float64)
         return {
             "avg_cr": float(crs.mean()),
-            "total_cr": total,
+            "total_cr": float((crs * sizes).sum() / sizes.sum()),
             "best_cr": float(crs.min()),
             "worst_cr": float(crs.max()),
             "avg_rho": float(np.mean([c.rho for c in self.choices.values()])),
@@ -96,19 +90,6 @@ class HybridResult:
         }
 
 
-def _quality_metrics(
-    original: np.ndarray, codec: Compressor
-) -> tuple[float, float, float, float]:
-    outcome = codec.roundtrip(np.ascontiguousarray(original))
-    recon = outcome.reconstructed
-    return (
-        outcome.cr,
-        pearson(original, recon),
-        nrmse(original, recon),
-        normalized_max_error(original, recon),
-    )
-
-
 def _lossless_choice(
     variable: str, variant: str, codec: Compressor, sample: np.ndarray
 ) -> HybridChoice:
@@ -127,6 +108,22 @@ def _lossless_choice(
         e_nmax=0.0,
         lossless=True,
         n_points=int(sample.size),
+    )
+
+
+def _lossy_choice(verdict: VariableVerdict, member: int,
+                  n_points: int) -> HybridChoice:
+    """A passing rung's choice, quoted from ``member``'s reconstruction
+    inside ``verdict`` (the first test member)."""
+    return HybridChoice(
+        variable=verdict.variable,
+        variant=verdict.codec,
+        cr=verdict.crs[member],
+        rho=verdict.rho.detail["values"][member],
+        nrmse=verdict.nrmse[member],
+        e_nmax=verdict.enmax.detail["members"][member]["e_nmax"],
+        lossless=False,
+        n_points=n_points,
     )
 
 
@@ -228,14 +225,8 @@ def _build_hybrid_impl(
                     run_bias=True, context=context,
                 )
             if verdict.all_passed:
-                cr, rho, err, e_nmax = _quality_metrics(
-                    fields[int(test_members[0])], codec
-                )
-                chosen = HybridChoice(
-                    variable=name, variant=variant, cr=cr, rho=rho,
-                    nrmse=err, e_nmax=e_nmax, lossless=False,
-                    n_points=int(fields[int(test_members[0])].size),
-                )
+                chosen = _lossy_choice(verdict, int(test_members[0]),
+                                       int(fields[0].size))
                 break
         if chosen is None:
             raise AssertionError(

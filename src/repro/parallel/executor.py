@@ -29,9 +29,11 @@ Execution proceeds in *rounds*: pending tasks are chunked, submitted
 (at most ``workers`` chunks in flight so deadlines stay honest), and
 their outcomes folded; tasks whose attempts are exhausted are settled,
 the rest carry into the next round after the backoff sleep.  A crashed
-process pool charges one ``crash`` attempt to every in-flight chunk
-(the culprit is unknowable), is rebuilt, and the survivors re-run —
-results already folded are never discarded.
+process pool is rebuilt and the survivors re-run — results already
+folded are never discarded.  Blame is exact: a chunk that was alone in
+the pool is charged one ``crash`` attempt; chunks that crashed together
+are charged nothing and each re-runs alone, so an innocent never pays
+for its neighbour.
 
 Under ``REPRO_TRACE=1`` the map is a ``parallel.map`` span;
 ``parallel.tasks`` / ``parallel.retries`` / ``parallel.failures``
@@ -348,6 +350,9 @@ class _MapRun:
         self.attempts = [0] * len(items)
         self.failures: dict[int, TaskFailure] = {}
         self.pending: set[int] = set(range(len(items)))
+        #: Tasks in flight together when the pool crashed: the culprit
+        #: among them is unknown, so each re-runs alone.
+        self.suspects: set[int] = set()
         #: Set when the pool was killed or work abandoned mid-flight;
         #: close must then never wait on it.
         self.dirty = False
@@ -423,6 +428,11 @@ class _MapRun:
         aborted = False
         while True:
             while queue and not aborted and len(inflight) < self.n_workers:
+                if inflight and any(
+                    not self.suspects.isdisjoint(c)
+                    for c in [queue[-1], *(c for c, _ in inflight.values())]
+                ):
+                    break  # a suspect shares the pool with no one
                 chunk = queue.pop()
                 payload = [(i, self.items[i]) for i in chunk]
                 if self.transport is not None:
@@ -430,9 +440,13 @@ class _MapRun:
                 try:
                     fut = backend.submit(runner, payload)
                 except BrokenExecutor as exc:
+                    # ``chunk`` never ran: the pool broke under the
+                    # chunks in flight (if any).
                     self._release_segments(chunk)
-                    self._charge_chunk(chunk, "crash", exc)
-                    self._recover_crash(backend, inflight)
+                    self._recover_crash(
+                        backend, inflight,
+                        [c for c, _ in inflight.values()] or [chunk], exc,
+                    )
                     aborted = True
                     break
                 deadline = None
@@ -455,8 +469,8 @@ class _MapRun:
                         return_when=FIRST_COMPLETED)
         if done:
             # Fold clean completions before any crash-bearing future:
-            # a pool crash charges everything still in flight, and a
-            # chunk that already finished must not be among the victims.
+            # a pool crash suspects everything still in flight, and a
+            # chunk that already finished must not be among them.
             for fut in sorted(done, key=lambda f: f.exception() is not None):
                 chunk, _ = inflight.pop(fut)
                 # The worker detached its results before returning, so
@@ -479,11 +493,12 @@ class _MapRun:
                 self._fold_attempt(attempt)
             return True
         if isinstance(exc, BrokenExecutor):
-            # The pool itself died: the culprit is unknowable, so every
-            # in-flight chunk is charged one crash attempt (innocents
-            # succeed on retry) and the pool is rebuilt.
-            self._charge_chunk(chunk, "crash", exc)
-            self._recover_crash(backend, inflight)
+            # The pool itself died, under this chunk and any others
+            # still in flight.
+            self._recover_crash(
+                backend, inflight,
+                [chunk, *(c for c, _ in inflight.values())], exc,
+            )
             return False
         if isinstance(exc, WorkerCrashError):
             # Emulated crash (serial/thread backends, or raised through
@@ -518,10 +533,19 @@ class _MapRun:
             return False
         return True
 
-    def _recover_crash(self, backend: Backend, inflight: dict) -> None:
+    def _recover_crash(self, backend: Backend, inflight: dict,
+                       ran: list[list[int]], exc: BaseException) -> None:
+        """Blame a pool crash on the chunks that ``ran`` in it, then
+        rebuild the pool.  A lone chunk is the culprit and is charged;
+        among several the culprit is unknown, so none is charged and
+        each becomes a suspect that re-runs alone."""
+        if len(ran) == 1:
+            self._charge_chunk(ran[0], "crash", exc)
+        else:
+            for chunk in ran:
+                self.suspects.update(chunk)
         for chunk, _ in inflight.values():
             self._release_segments(chunk)
-            self._charge_chunk(chunk, "crash", None)
         inflight.clear()
         self.dirty = True
         backend.recycle(kill=True)

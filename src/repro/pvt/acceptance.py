@@ -29,6 +29,7 @@ from repro.config import (
     RHO_THRESHOLD,
     RMSZ_DIFF_LIMIT,
 )
+from repro.metrics.average import nrmse
 from repro.metrics.correlation import pearson
 from repro.metrics.pointwise import normalized_max_error
 from repro.pvt.bias import BiasResult, bias_regression
@@ -93,7 +94,15 @@ class VariableVerdict:
     rmsz: TestVerdict
     enmax: TestVerdict
     bias: TestVerdict | None
-    mean_cr: float
+    #: Compression ratio and NRMSE of each test member's one
+    #: reconstruction, keyed by member index in draw order.
+    crs: dict[int, float]
+    nrmse: dict[int, float]
+
+    @property
+    def mean_cr(self) -> float:
+        """Mean compression ratio over the test members."""
+        return float(np.mean(list(self.crs.values())))
 
     @property
     def all_passed(self) -> bool:
@@ -116,18 +125,6 @@ class VariableVerdict:
         }
         row["bias"] = self.bias.passed if self.bias is not None else None
         return row
-
-
-def _reconstruct_members(
-    ensemble: np.ndarray, codec: Compressor, members
-) -> tuple[dict[int, np.ndarray], dict[int, float]]:
-    recon: dict[int, np.ndarray] = {}
-    crs: dict[int, float] = {}
-    for m in members:
-        outcome = codec.roundtrip(np.ascontiguousarray(ensemble[m]))
-        recon[int(m)] = outcome.reconstructed
-        crs[int(m)] = outcome.cr
-    return recon, crs
 
 
 def evaluate_variable(
@@ -215,9 +212,16 @@ def _evaluate_impl(
         rmsz_dist = context.rmsz_dist
         enmax_dist = context.enmax_dist
 
+        # Each test member is round-tripped once; every test below,
+        # the bias pass included, judges that one reconstruction.
         with obs.span("pvt.reconstruct", variable=variable,
                       members=len(members)):
-            recon, crs = _reconstruct_members(ensemble, codec, members)
+            recon: dict[int, np.ndarray] = {}
+            crs: dict[int, float] = {}
+            for m in members:
+                outcome = codec.roundtrip(np.ascontiguousarray(ensemble[m]))
+                recon[m] = outcome.reconstructed
+                crs[m] = outcome.cr
 
         with obs.span("pvt.rho", variable=variable):
             rho_values = {m: pearson(ensemble[m], recon[m]) for m in members}
@@ -269,7 +273,7 @@ def _evaluate_impl(
         if run_bias:
             with obs.span("pvt.bias", variable=variable,
                           members=int(ensemble.shape[0])):
-                result = _bias_for(ensemble, codec, stats, rmsz_dist)
+                result = _bias_for(ensemble, codec, recon, rmsz_dist)
                 bias_verdict = TestVerdict(
                     name="bias",
                     passed=result.passes(bias_limit),
@@ -283,7 +287,8 @@ def _evaluate_impl(
             rmsz=rmsz_verdict,
             enmax=enmax_verdict,
             bias=bias_verdict,
-            mean_cr=float(np.mean(list(crs.values()))),
+            crs=crs,
+            nrmse={m: nrmse(ensemble[m], recon[m]) for m in members},
         )
         if obs.active():
             _VARIABLES.add(1)
@@ -298,14 +303,18 @@ def _evaluate_impl(
 def _bias_for(
     ensemble: np.ndarray,
     codec: Compressor,
-    stats: EnsembleStats,
+    recon_tested: dict[int, np.ndarray],
     rmsz_original: np.ndarray,
 ) -> BiasResult:
-    """Compress every member, rebuild E~, and regress RMSZ~ on RMSZ."""
-    n = ensemble.shape[0]
+    """Rebuild E~ from every member's reconstruction and regress RMSZ~
+    on RMSZ; the test members' reconstructions are reused, the others
+    are round-tripped here."""
     recon = np.empty_like(ensemble, dtype=np.float32)
-    for m in range(n):
-        recon[m] = codec.roundtrip(np.ascontiguousarray(ensemble[m])).reconstructed
-    recon_stats = EnsembleStats(recon)
-    rmsz_recon = recon_stats.distribution()
+    for m in range(ensemble.shape[0]):
+        if m in recon_tested:
+            recon[m] = recon_tested[m]
+        else:
+            outcome = codec.roundtrip(np.ascontiguousarray(ensemble[m]))
+            recon[m] = outcome.reconstructed
+    rmsz_recon = EnsembleStats(recon).distribution()
     return bias_regression(rmsz_original, rmsz_recon)

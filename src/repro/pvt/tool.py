@@ -6,9 +6,10 @@ Two use cases, mirroring Section 4.3:
   whether runs from a "new machine" (here: a differently-seeded or
   perturbed model) are climate-changing, via the global-mean range-shift
   check and the RMSZ distribution check;
-- :meth:`CesmPvt.evaluate_codec` — the paper's repurposing: run the four
+- :meth:`CesmPvt.evaluate_codecs` — the paper's repurposing: run the four
   acceptance tests of :mod:`repro.pvt.acceptance` for every requested
-  variable against a compressor, optionally in parallel across variables.
+  variable against one or more compressors, optionally in parallel
+  across variables (:meth:`CesmPvt.evaluate_codec` for one codec).
 """
 
 from __future__ import annotations
@@ -23,7 +24,11 @@ from repro.compressors.base import Compressor
 from repro.parallel.failures import TaskFailure
 from repro.metrics.characterize import valid_mask
 from repro.model.ensemble import CAMEnsemble
-from repro.pvt.acceptance import VariableVerdict, evaluate_variable
+from repro.pvt.acceptance import (
+    VariableContext,
+    VariableVerdict,
+    evaluate_variable,
+)
 from repro.pvt.zscore import EnsembleStats
 
 __all__ = ["CesmPvt", "PvtReport", "PortVerdict"]
@@ -104,55 +109,70 @@ class CesmPvt:
         run_bias: bool = True,
         workers: int = 0,
     ) -> PvtReport:
-        """Run the acceptance tests for ``codec`` over ``variables``.
+        """Run the acceptance tests for ``codec`` over ``variables``
+        (one codec through :meth:`evaluate_codecs`)."""
+        return self.evaluate_codecs([codec], variables, run_bias,
+                                    workers)[0]
 
-        ``workers > 1`` distributes variables across processes via
-        :mod:`repro.parallel` (each worker regenerates its fields from the
-        shared dycore coefficients, so nothing large is pickled).
+    def evaluate_codecs(
+        self,
+        codecs: list[Compressor],
+        variables=None,
+        run_bias: bool = True,
+        workers: int = 0,
+    ) -> list[PvtReport]:
+        """Run the acceptance tests for each of ``codecs`` over
+        ``variables``; one report per codec, in order.
+
+        The one PVT fan-out (``repro verify``, Table 6).  It goes
+        variable by variable: each variable's ensemble statistics are
+        built once and shared by every codec.  ``workers > 1`` makes one
+        :mod:`repro.parallel` task per variable (each worker regenerates
+        its fields from the shared dycore coefficients, so nothing large
+        is pickled); a variable whose task fails lands in every report's
+        ``failures`` instead of its verdicts.
         """
         names = self._variable_names(variables)
-        with obs.span("pvt.evaluate_codec", codec=codec.variant,
+        members = tuple(int(m) for m in self.test_members)
+        with obs.span("pvt.evaluate_codec",
+                      codec=",".join(c.variant for c in codecs),
                       variables=len(names)):
             if workers and workers > 1:
                 from repro.parallel.executor import parallel_map
-                from repro.parallel.failures import MapResult
 
-                result: MapResult = parallel_map(
+                result = parallel_map(
                     _evaluate_one_remote,
                     [
-                        (self.ensemble.config, codec, name,
-                         tuple(int(m) for m in self.test_members), run_bias,
-                         store.current_root())
+                        (self.ensemble.config, tuple(codecs), name,
+                         members, run_bias, store.current_root())
                         for name in names
                     ],
                     workers=workers,
                     on_failure="collect",
                 )
-                # Degrade per variable: a failed evaluation costs its
-                # verdict, never the report.
-                verdicts = {
-                    name: slot for name, slot in zip(names, result)
-                    if not isinstance(slot, TaskFailure)
-                }
-                failures = {
-                    names[f.index]: f for f in result.failures
-                }
+                slots = dict(zip(names, result))
+                failures = {names[f.index]: f for f in result.failures}
             else:
-                verdicts = {
-                    name: self._evaluate_one(codec, name, run_bias)
+                slots = {
+                    name: _evaluate_one(self.ensemble, codecs, name,
+                                        members, run_bias)
                     for name in names
                 }
                 failures = {}
-        return PvtReport(codec=codec.variant, verdicts=verdicts,
-                         failures=failures)
-
-    def _evaluate_one(self, codec: Compressor, name: str,
-                      run_bias: bool) -> VariableVerdict:
-        fields = self.ensemble.ensemble_field(name)
-        return evaluate_variable(
-            fields, codec, self.test_members, variable=name,
-            run_bias=run_bias,
-        )
+        # Degrade per variable: a failed evaluation costs its verdicts,
+        # never the reports.
+        evaluated = {
+            name: verdicts for name, verdicts in slots.items()
+            if not isinstance(verdicts, TaskFailure)
+        }
+        return [
+            PvtReport(
+                codec=codec.variant,
+                verdicts={name: v[i] for name, v in evaluated.items()},
+                failures=dict(failures),
+            )
+            for i, codec in enumerate(codecs)
+        ]
 
     def _variable_names(self, variables) -> list[str]:
         if variables is None:
@@ -227,15 +247,25 @@ class CesmPvt:
         )
 
 
-def _evaluate_one_remote(args) -> VariableVerdict:
-    """Process-pool entry point: rebuild the ensemble field and evaluate."""
-    config, codec, name, members, run_bias, store_root = args
-    store.adopt_root(store_root)
-    ensemble = _ensemble_for_config(config)
+def _evaluate_one(ensemble: CAMEnsemble, codecs: list[Compressor],
+                  name: str, members, run_bias: bool) -> list[VariableVerdict]:
+    """Every codec's verdict on variable ``name``, sharing its context."""
     fields = ensemble.ensemble_field(name)
-    return evaluate_variable(
-        fields, codec, members, variable=name, run_bias=run_bias
-    )
+    context = VariableContext.from_ensemble(fields)
+    return [
+        evaluate_variable(fields, codec, members, variable=name,
+                          run_bias=run_bias, context=context)
+        for codec in codecs
+    ]
+
+
+def _evaluate_one_remote(args) -> list[VariableVerdict]:
+    """Process-pool entry point: rebuild the ensemble, evaluate one
+    variable against every codec."""
+    config, codecs, name, members, run_bias, store_root = args
+    store.adopt_root(store_root)
+    return _evaluate_one(_ensemble_for_config(config), codecs, name,
+                         members, run_bias)
 
 
 @lru_cache(maxsize=1)

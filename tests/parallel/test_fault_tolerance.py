@@ -103,6 +103,20 @@ def test_exhausted_crash_failure_kind(backend, tmp_path):
     assert [result[1], result[2]] == [triple(1), triple(2)]
 
 
+def test_crash_never_charges_an_in_flight_neighbour(backend, tmp_path):
+    # Task 1 is still running when task 0 kills its worker.  With no
+    # retries to spare, only exact blame keeps task 1 alive: it re-runs
+    # alone instead of being charged for the broken pool.
+    clock = FakeClock() if backend == "serial" else None
+    plan = (FaultPlan(tmp_path).crash(0, times=10)
+            .hang(1, duration=2.0, times=1))
+    result = run(plan.wrap(triple, clock=clock), 3, backend, retries=0,
+                 on_failure="collect")
+    assert result.failed_indices() == [0]
+    assert result[0].kind == "crash"
+    assert [result[1], result[2]] == [triple(1), triple(2)]
+
+
 def test_raise_policy_raises_original_exception(backend, tmp_path):
     plan = FaultPlan(tmp_path).fail(1, times=10, message="boom")
     with pytest.raises(ValueError, match="boom"):
